@@ -289,7 +289,7 @@ impl Parser {
     }
 
     fn parse_variable_decl(&mut self) -> Result<VarDecl, BifError> {
-        let (name, _) = self.expect_word("variable name")?;
+        let (name, name_line) = self.expect_word("variable name")?;
         self.expect_punct('{')?;
         let mut states = Vec::new();
         while !self.eat_punct('}') {
@@ -331,6 +331,15 @@ impl Parser {
                     })
                 }
             }
+        }
+        // `Variable::new` asserts a non-empty state list; reject an empty
+        // or missing `type` here so malformed input is an error.
+        if states.is_empty() {
+            return Err(BifError::Unexpected {
+                line: name_line,
+                expected: format!("at least one state for {name:?}"),
+                got: "none".into(),
+            });
         }
         Ok(VarDecl { name, states })
     }
@@ -425,7 +434,11 @@ pub fn parse_str(input: &str) -> Result<BayesianNetwork, BifError> {
     let mut by_name = HashMap::new();
     for decl in &var_decls {
         let id = builder.add_variable(Variable::new(decl.name.clone(), decl.states.clone()));
-        by_name.insert(decl.name.clone(), id);
+        // Reject a redeclared name up front: the state lookups below
+        // assume one declaration per name.
+        if by_name.insert(decl.name.clone(), id).is_some() {
+            return Err(NetworkError::DuplicateVariableName(decl.name.clone()).into());
+        }
     }
     let state_index = |name: &str, state: &str, line: usize| -> Result<usize, BifError> {
         let decl = var_decls
@@ -474,8 +487,18 @@ pub fn parse_str(input: &str) -> Result<BayesianNetwork, BifError> {
             .iter()
             .map(|p| var_decls[p.index()].states.len())
             .collect();
-        let n_rows: usize = parent_cards.iter().product();
-        let expected_len = n_rows * child_card;
+        // Enough parents make the table size overflow; that is an input
+        // error, not an arithmetic panic.
+        let overflow = || BifError::Unexpected {
+            line: decl.line,
+            expected: format!("a table size for {:?} that fits in usize", decl.child),
+            got: format!("{} parents", decl.parents.len()),
+        };
+        let n_rows = parent_cards
+            .iter()
+            .try_fold(1usize, |n, &card| n.checked_mul(card))
+            .ok_or_else(overflow)?;
+        let expected_len = n_rows.checked_mul(child_card).ok_or_else(overflow)?;
 
         let values = match decl.entries {
             Entries::Table(t) => {
@@ -672,6 +695,56 @@ probability ( C | P ) { (a) 0.5, 0.5; }
         assert!(matches!(
             parse_str(text).unwrap_err(),
             BifError::Unexpected { .. }
+        ));
+    }
+
+    #[test]
+    fn empty_state_list_is_an_error_with_line() {
+        let empty = BifError::Unexpected {
+            line: 2,
+            expected: "at least one state for \"A\"".into(),
+            got: "none".into(),
+        };
+        let text = "network x { }\nvariable A {\n  type discrete [ 0 ] { };\n}";
+        assert_eq!(parse_str(text).unwrap_err(), empty);
+        // No `type` at all is the same defect.
+        let text = "network x { }\nvariable A {\n}";
+        assert_eq!(parse_str(text).unwrap_err(), empty);
+    }
+
+    #[test]
+    fn redeclared_variable_is_an_error_not_a_panic() {
+        // The parent's row is resolved against one declaration of `A`
+        // and sized by the other; this must fail cleanly.
+        let text = "network x { }\n\
+                    variable A { type discrete [ 3 ] { a, b, c }; }\n\
+                    variable A { type discrete [ 2 ] { a, b }; }\n\
+                    variable B { type discrete [ 2 ] { y, n }; }\n\
+                    probability ( A ) { table 0.5, 0.5; }\n\
+                    probability ( B | A ) { (c) 0.5, 0.5; default 0.5, 0.5; }";
+        assert_eq!(
+            parse_str(text).unwrap_err(),
+            BifError::Network(NetworkError::DuplicateVariableName("A".into()))
+        );
+    }
+
+    #[test]
+    fn overflowing_table_size_is_an_error_not_a_panic() {
+        // 2^64 parent configurations: the row count overflows usize.
+        let mut text = String::from("network x { }\n");
+        for i in 0..64 {
+            text += &format!("variable P{i} {{ type discrete [ 2 ] {{ a, b }}; }}\n");
+            text += &format!("probability ( P{i} ) {{ table 0.5, 0.5; }}\n");
+        }
+        text += "variable C { type discrete [ 2 ] { a, b }; }\n";
+        let parents: Vec<String> = (0..64).map(|i| format!("P{i}")).collect();
+        text += &format!(
+            "probability ( C | {} ) {{ default 0.5, 0.5; }}",
+            parents.join(", ")
+        );
+        assert!(matches!(
+            parse_str(&text).unwrap_err(),
+            BifError::Unexpected { line: 131, got, .. } if got == "64 parents"
         ));
     }
 

@@ -1,11 +1,12 @@
 //! Seeded synthetic network generators.
 //!
 //! The paper evaluates on six bnlearn-repository networks that are not
-//! redistributable here; DESIGN.md §1 substitutes seeded analogues whose
-//! node counts, arc counts and arity distributions match the published
-//! statistics. The **windowed DAG** generator is the workhorse: restricting
-//! each node's parents to a trailing window of recent nodes bounds the
-//! moral graph's bandwidth, which keeps the triangulated width (and thus
+//! redistributable here, so seeded analogues stand in whose node counts,
+//! arc counts and arity distributions match the published statistics (see
+//! "Substitutions for the paper's setup" in `docs/ARCHITECTURE.md`).
+//! The **windowed DAG** generator is the workhorse: restricting each
+//! node's parents to a trailing window of recent nodes bounds the moral
+//! graph's bandwidth, which keeps the triangulated width (and thus
 //! junction-tree cost) in a controllable range — the property that makes
 //! the analogues *runnable* while preserving the clique-size distribution
 //! knobs that drive the paper's results.

@@ -6,7 +6,7 @@
 //!   the micro-batch width, run back-to-back through one session — the
 //!   throughput ceiling a perfectly coalesced offline caller gets;
 //! * the **server**: the same cases submitted by closed-loop concurrent
-//!   clients through a `fastbn_serve::Server` at each worker count,
+//!   clients through a one-model `RoutedServer` at each worker count,
 //!   with requests/second and the p50/p99 round-trip latency a client
 //!   actually observes.
 //!
@@ -34,7 +34,7 @@
 //! `--models` switches to the **multi-model** benchmark: mixed traffic
 //! over several networks (default 3) driven through one `RoutedServer`
 //! whose models share a single worker pool, against N separate
-//! single-model `Server`s (each solver with its own pool) at equal
+//! one-model `RoutedServer`s (each solver with its own pool) at equal
 //! total serve-worker count — with per-model p50/p99 on both sides.
 //! `--workers-total` overrides the worker budget (default: one per
 //! model). `--models --cache` gives every model a query-result cache,
@@ -58,14 +58,13 @@ use std::time::{Duration, Instant};
 
 use fastbn_bayesnet::Evidence;
 use fastbn_bench::measure::{
-    cached_solver_for, prepare, repeat_cases, run_cases_serve_on, run_cases_serve_with,
-    run_mixed_traffic, solver_for, MixedRun, ServeOpts, ServeRun,
+    cached_solver_for, one_model_registry, prepare, repeat_cases, run_cases_serve_on,
+    run_cases_serve_with, run_mixed_traffic, solver_for, MixedRun, ServeOpts, ServeRun,
 };
 use fastbn_bench::report::{BenchReport, BenchRow};
 use fastbn_bench::workloads::all_workloads;
 use fastbn_inference::{CacheConfig, CacheStats, EngineKind, Query, QueryBatch, Solver};
 use fastbn_registry::{Registry, RoutedServer};
-use fastbn_serve::Server;
 use fastbn_telemetry::{TraceConfig, Tracer};
 
 /// Microseconds, for the JSON rows (`Duration` has no lossless float).
@@ -221,7 +220,7 @@ fn print_mixed(label: &str, run: &MixedRun) {
 
 /// The `--models` mode: mixed traffic over several networks through
 /// one `RoutedServer` (models sharing a single worker pool) vs N
-/// separate single-model `Server`s (one private pool each) at equal
+/// separate one-model `RoutedServer`s (one private pool each) at equal
 /// total serve-worker count, with per-model p50/p99. With `cache`,
 /// every model gets a query-result cache, each model's traffic cycles
 /// `distinct` evidence sets, and the routed side reports per-model
@@ -340,7 +339,7 @@ fn run_models_mode(
     let per_server = (workers_total / names.len()).max(1);
     let separate_best = (0..repeat)
         .map(|_| {
-            let servers: std::collections::HashMap<String, Server> = prepared
+            let servers: std::collections::HashMap<String, RoutedServer> = prepared
                 .iter()
                 .map(|(name, prep, _)| {
                     let solver = Arc::new(if cache {
@@ -348,7 +347,7 @@ fn run_models_mode(
                     } else {
                         solver_for(kind, Arc::clone(prep), threads)
                     });
-                    let server = Server::builder(solver)
+                    let server = RoutedServer::builder(one_model_registry(name, solver))
                         .workers(per_server)
                         .max_batch(width)
                         .max_delay(delay)
@@ -358,7 +357,9 @@ fn run_models_mode(
                 })
                 .collect();
             let run = run_mixed_traffic(&traffic, clients, |model, query| {
-                servers[model].submit(query).expect("server accepting")
+                servers[model]
+                    .submit(model, query)
+                    .expect("server accepting")
             });
             for server in servers.values() {
                 server.shutdown();

@@ -106,7 +106,7 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    println!("(paper speedups in parentheses; absolute seconds are not comparable — see EXPERIMENTS.md)\n");
+    println!("(paper speedups in parentheses; absolute seconds are not comparable — see docs/ARCHITECTURE.md)\n");
     println!(
         "{:<12} | {:>9} {:>9} {:>16} | {:>9} {:>9} {:>9} {:>9} {:>14} {:>14} {:>14}",
         "BN",

@@ -1,8 +1,8 @@
 //! Trace replay and live-introspection smoke — the human-facing (and
 //! CI-facing) end of the request-tracing pipeline.
 //!
-//! Drives a workload through a [`Server`] with a request tracer
-//! sampling **every** request, then:
+//! Drives a workload through a one-model [`RoutedServer`] with a
+//! request tracer sampling **every** request, then:
 //!
 //! 1. renders the most recent trace trees as indented text, one line
 //!    per span with its start offset, duration, and **self time**
@@ -35,10 +35,10 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use fastbn_bench::measure::{prepare, solver_for};
+use fastbn_bench::measure::{one_model_registry, prepare, solver_for};
 use fastbn_bench::workloads::workload_by_name;
 use fastbn_inference::{layout_class_name, EngineKind, Query};
-use fastbn_serve::Server;
+use fastbn_registry::RoutedServer;
 use fastbn_telemetry::trace::{NameId, SpanRecord, TraceView, SPAN_KERNEL, SPAN_REQUEST};
 use fastbn_telemetry::{Introspection, Json, TraceConfig, Tracer};
 
@@ -178,7 +178,7 @@ fn main() {
         slow_capacity: 64,
     }));
     let solver = Arc::new(solver_for(engine, prepare(&net), threads));
-    let server = Server::builder(solver)
+    let server = RoutedServer::builder(one_model_registry(&network, solver))
         .workers(workers)
         .max_batch(width)
         .max_delay(delay)
@@ -194,7 +194,7 @@ fn main() {
         .iter()
         .map(|ev| {
             server
-                .submit(Query::new().evidence(ev.clone()))
+                .submit(&network, Query::new().evidence(ev.clone()))
                 .expect("server accepting")
         })
         .collect();

@@ -3,15 +3,15 @@
 //! Workload definitions and measurement helpers reproducing the Fast-BNI
 //! (PPoPP'23) evaluation. The paper's six bnlearn networks are replaced by
 //! seeded analogues with matching node counts, arc counts and arity
-//! distributions (DESIGN.md §1); the paper's published Table-1 numbers are
-//! carried alongside each workload so harness output can print
-//! paper-vs-measured side by side.
+//! distributions (see `docs/ARCHITECTURE.md`); the paper's published
+//! Table-1 numbers are carried alongside each workload so harness output
+//! can print paper-vs-measured side by side.
 //!
 //! Three measurement paths cover the three ways queries execute (see
 //! `docs/ARCHITECTURE.md` at the repository root): [`measure::run_cases`]
 //! (one session, one query at a time), [`measure::run_cases_batch`] (one
 //! `run_batch` call), and [`measure::run_cases_serve`] (closed-loop
-//! concurrent clients against a `fastbn_serve::Server`, with p50/p99
+//! concurrent clients against a one-model `RoutedServer`, with p50/p99
 //! latency percentiles).
 //!
 //! The report binaries (`table1`, `sweep`, `serve`) additionally emit

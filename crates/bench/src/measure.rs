@@ -6,6 +6,7 @@ use std::time::{Duration, Instant};
 use fastbn_bayesnet::{BayesianNetwork, Evidence};
 use fastbn_inference::{CacheConfig, CacheStats, EngineKind, Prepared, Query, QueryBatch, Solver};
 use fastbn_jtree::JtreeOptions;
+use fastbn_registry::{Registry, RoutedServer, ServerStats};
 
 /// Builds the shared prepared structures for a network.
 pub fn prepare(net: &BayesianNetwork) -> Arc<Prepared> {
@@ -18,6 +19,17 @@ pub fn solver_for(kind: EngineKind, prepared: Arc<Prepared>, threads: usize) -> 
         .engine(kind)
         .threads(threads)
         .build()
+}
+
+/// A registry holding `solver` alone, under `id` — the serving shape
+/// for one model: hand it to [`RoutedServer::builder`] and submit under
+/// the same id.
+pub fn one_model_registry(id: &str, solver: Arc<Solver>) -> Arc<Registry> {
+    let registry = Arc::new(Registry::builder().build());
+    registry
+        .insert(id, solver)
+        .expect("a fresh unbounded registry always has room");
+    registry
 }
 
 /// [`solver_for`] with the query-result cache enabled (default
@@ -195,8 +207,8 @@ pub struct ServeRun {
     pub throughput: f64,
     /// Round-trip latency distribution.
     pub latency: LatencySummary,
-    /// Server counters at the end of the run.
-    pub stats: fastbn_serve::ServerStats,
+    /// Server counters for the timed run (warm-up baselined away).
+    pub stats: ServerStats,
     /// Solver cache counters for the **timed window only** (warm-up
     /// baselined away, like `stats`); `None` when the solver has no
     /// cache. Occupancy fields are final, not deltas.
@@ -204,9 +216,9 @@ pub struct ServeRun {
 }
 
 /// Times the same cases as [`run_cases`] / [`run_cases_batch`], but
-/// served through a [`fastbn_serve::Server`] under closed-loop
-/// concurrent submitters (each client submits one request, waits for
-/// its result, repeats). Client count is `2 × workers × max_batch`,
+/// served through a [`RoutedServer`] over a one-model registry under
+/// closed-loop concurrent submitters (each client submits one request,
+/// waits for its result, repeats). Client count is `2 × workers × max_batch`,
 /// enough in-flight requests to fill every worker's micro-batching
 /// window with the next window already queued. An untimed full pass
 /// warms each worker's scratch, mirroring the other measurement paths.
@@ -240,11 +252,11 @@ pub struct ServeOpts {
     /// In-window duplicate collapsing.
     pub dedup: bool,
     /// Stage-histogram/timing telemetry on the server. Counters stay
-    /// live either way ([`fastbn_serve::ServerStats`] depends on them);
+    /// live either way ([`ServerStats`] depends on them);
     /// `false` measures the opt-out overhead floor.
     pub telemetry: bool,
     /// Request tracer installed on the server
-    /// ([`fastbn_serve::Tracer`]): every request gets the slow-query
+    /// ([`fastbn_telemetry::Tracer`]): every request gets the slow-query
     /// accounting, head-sampled ones record span trees. `None` measures
     /// the no-tracer hot path.
     pub tracer: Option<Arc<fastbn_telemetry::Tracer>>,
@@ -287,7 +299,8 @@ pub fn run_cases_serve_with(solver: Arc<Solver>, opts: &ServeOpts, cases: &[Evid
         telemetry,
         ref tracer,
     } = *opts;
-    let mut builder = fastbn_serve::Server::builder(Arc::clone(&solver))
+    const MODEL: &str = "model";
+    let mut builder = RoutedServer::builder(one_model_registry(MODEL, Arc::clone(&solver)))
         .workers(workers)
         .max_batch(max_batch)
         .max_delay(max_delay)
@@ -306,7 +319,7 @@ pub fn run_cases_serve_with(solver: Arc<Solver>, opts: &ServeOpts, cases: &[Evid
     // in before the clock starts.
     let warmup: Vec<_> = queries
         .iter()
-        .map(|q| server.submit(q.clone()).expect("server accepting"))
+        .map(|q| server.submit(MODEL, q.clone()).expect("server accepting"))
         .collect();
     for pending in warmup {
         pending.wait().expect("workload evidence has P(e) > 0");
@@ -342,7 +355,9 @@ pub fn run_cases_serve_with(solver: Arc<Solver>, opts: &ServeOpts, cases: &[Evid
                 // index so every client sees the full evidence mix.
                 for query in queries.iter().skip(c).step_by(clients) {
                     let begin = Instant::now();
-                    let pending = server.submit(query.clone()).expect("server accepting");
+                    let pending = server
+                        .submit(MODEL, query.clone())
+                        .expect("server accepting");
                     pending.wait().expect("workload evidence has P(e) > 0");
                     mine.push(begin.elapsed());
                 }
@@ -360,7 +375,7 @@ pub fn run_cases_serve_with(solver: Arc<Solver>, opts: &ServeOpts, cases: &[Evid
     // the warm-up baseline so the stats cover the timed run alone.
     server.shutdown();
     let end = server.stats();
-    let stats = fastbn_serve::ServerStats {
+    let stats = ServerStats {
         submitted: end.submitted - warm.submitted,
         rejected: end.rejected - warm.rejected,
         dequeued: end.dequeued - warm.dequeued,

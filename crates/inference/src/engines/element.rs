@@ -4,7 +4,7 @@
 //! Zheng's GPU junction tree precomputes index-mapping tables in device
 //! memory once per network, then launches one kernel per elementary table
 //! operation, each thread handling one element via the mapping tables.
-//! The CPU analogue (DESIGN.md §1):
+//! The CPU analogue (see `docs/ARCHITECTURE.md`):
 //!
 //! * all mapping arrays are **materialized up front** (engine
 //!   construction), one per separator and direction;

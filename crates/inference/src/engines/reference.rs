@@ -1,6 +1,7 @@
 //! `ReferenceJt` — the UnBBayes-substitute sequential baseline.
 //!
-//! DESIGN.md §1: the paper's sequential comparison target is UnBBayes, a
+//! The paper's sequential comparison target is UnBBayes (see
+//! `docs/ARCHITECTURE.md` for the substitution), a
 //! Java junction-tree implementation whose per-entry cost is dominated by
 //! object/dictionary overhead rather than asymptotics. This engine
 //! reproduces that cost model faithfully in safe Rust:

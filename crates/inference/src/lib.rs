@@ -8,9 +8,7 @@
 //!   per network.
 //! * [`Session`] — a cheap **per-caller handle** holding reusable scratch
 //!   from the solver's lock-free pool; open one per thread and query
-//!   concurrently. Its `'static` counterpart [`OwnedSession`] co-owns
-//!   the solver through an `Arc`, so it can move into spawned threads
-//!   and task runtimes (the `fastbn-serve` front end is built on it).
+//!   concurrently.
 //! * [`Query`] — a **builder** describing one request: hard evidence,
 //!   virtual (likelihood) evidence, an optional target-variable subset
 //!   (pay only for the marginals you ask for), or MPE mode. Results come
@@ -58,7 +56,7 @@
 //!
 //! ## Engines
 //!
-//! Propagation is pluggable: six engines (DESIGN.md §2.5) implement the
+//! Propagation is pluggable: six engines implement the
 //! stateless [`InferenceEngine`] trait — `&self` plus an explicit
 //! [`WorkState`] — so one engine instance serves any number of sessions:
 //!
@@ -77,12 +75,9 @@
 //! test suite). Correctness oracles — variable elimination and
 //! brute-force enumeration — live in [`oracle`].
 //!
-//! The pre-session API (`build_engine` + `query(&mut self)`) survives as
-//! a deprecated forwarding shim in [`compat`].
-//!
 //! How this crate relates to the layers below (junction trees, potential
-//! tables, the thread pool) and above (the `fastbn-serve` micro-batching
-//! front end) is mapped in `docs/ARCHITECTURE.md` at the repository
+//! tables, the thread pool) and above (the `fastbn-registry` routed
+//! serving front end) is mapped in `docs/ARCHITECTURE.md` at the repository
 //! root.
 
 // Every unsafe operation inside an `unsafe fn` must sit in its own
@@ -91,13 +86,11 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod cache;
-pub mod compat;
 pub mod delta;
 pub mod engines;
 pub mod error;
 pub mod mpe;
 pub mod oracle;
-pub mod owned;
 pub mod posterior;
 pub mod prepared;
 pub mod query;
@@ -119,14 +112,10 @@ pub use engines::seq::SeqJt;
 pub use engines::{make_engine, make_engine_on, EngineKind, InferenceEngine, ParseEngineKindError};
 pub use error::{InferenceError, LikelihoodDefect};
 pub use mpe::{most_probable_explanation, MpeResult};
-pub use owned::OwnedSession;
 pub use posterior::Posteriors;
 pub use prepared::Prepared;
 pub use query::{Query, QueryBatch, QueryKey, QueryMode, QueryResult};
-pub use solver::{Session, SessionCore, Solver, SolverBuilder};
+pub use solver::{Session, Solver, SolverBuilder};
 pub use state::WorkState;
 pub use trace::{layout_class, layout_class_name, scoped, TraceContext, TraceScope};
 pub use virtual_evidence::VirtualEvidence;
-
-#[allow(deprecated)]
-pub use compat::{build_engine, LegacyEngine};

@@ -105,29 +105,10 @@ impl Solver {
     /// state drawn from the pool (allocated fresh only when the pool is
     /// empty). Drop the session to return the scratch.
     pub fn session(&self) -> Session<'_> {
-        SessionCore::over(self)
-    }
-
-    /// Opens an [`OwnedSession`](crate::owned::OwnedSession) over this
-    /// solver, consuming one `Arc` reference. Unlike [`Solver::session`],
-    /// the returned handle carries no borrow, so it can move into spawned
-    /// threads and task runtimes. Clone the `Arc` first to keep your own
-    /// handle:
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use fastbn_bayesnet::{datasets, Evidence};
-    /// use fastbn_inference::Solver;
-    ///
-    /// let solver = Arc::new(Solver::new(&datasets::sprinkler()));
-    /// let mut session = Arc::clone(&solver).into_session();
-    /// let worker = std::thread::spawn(move || {
-    ///     session.posteriors(&Evidence::empty()).unwrap().prob_evidence
-    /// });
-    /// assert!((worker.join().unwrap() - 1.0).abs() < 1e-9);
-    /// ```
-    pub fn into_session(self: Arc<Self>) -> crate::owned::OwnedSession {
-        crate::owned::OwnedSession::new(self)
+        Session {
+            solver: self,
+            scratch: Some(self.acquire_scratch()),
+        }
     }
 
     /// Opens a [`LiveSession`](crate::delta::LiveSession): a fully
@@ -501,45 +482,22 @@ impl SolverBuilder<'_> {
     }
 }
 
-/// The one session implementation behind both handle flavors.
+/// A per-caller query handle over a shared [`Solver`]. Open one with
+/// [`Solver::session`].
 ///
 /// A session holds one [`WorkState`] for its lifetime, so repeated
 /// queries reuse allocations without synchronization; the state returns
 /// to the solver's pool on drop. Sessions are `Send` (open one per
-/// thread, or move one into a task) but deliberately not `Sync` — each
-/// concurrent caller opens its own.
-///
-/// The generic parameter is only *how the solver is held*: [`Session`]
-/// borrows it (`&Solver`), [`OwnedSession`](crate::owned::OwnedSession)
-/// co-owns it (`Arc<Solver>`). Every method — and therefore every
-/// result, bit for bit — is shared between the two; a query feature
-/// added here reaches both handles by construction.
-pub struct SessionCore<S: std::borrow::Borrow<Solver>> {
-    solver: S,
+/// thread, or move one into a scoped thread) but deliberately not
+/// `Sync` — each concurrent caller opens its own.
+pub struct Session<'s> {
+    solver: &'s Solver,
     /// `Some` for the session's whole life; `Option` only so `Drop` can
     /// move the box back into the pool.
     scratch: Option<Box<ScratchNode>>,
 }
 
-/// A per-caller query handle **borrowing** a shared [`Solver`] — the
-/// cheapest flavor when the solver outlives the caller on the same
-/// stack (scoped threads, request handlers over a long-lived solver).
-/// Open one with [`Solver::session`]. For a handle that can move into
-/// spawned threads and task runtimes, use
-/// [`OwnedSession`](crate::owned::OwnedSession); both answer queries
-/// bit-identically (they share [`SessionCore`]).
-pub type Session<'s> = SessionCore<&'s Solver>;
-
-impl<S: std::borrow::Borrow<Solver>> SessionCore<S> {
-    /// Opens a session over `solver`, drawing scratch from its pool.
-    pub(crate) fn over(solver: S) -> SessionCore<S> {
-        let scratch = solver.borrow().acquire_scratch();
-        SessionCore {
-            solver,
-            scratch: Some(scratch),
-        }
-    }
-
+impl Session<'_> {
     /// Runs one query and returns its unified result.
     pub fn run(&mut self, query: &Query) -> Result<QueryResult, InferenceError> {
         self.run_parts(
@@ -560,7 +518,7 @@ impl<S: std::borrow::Borrow<Solver>> SessionCore<S> {
         targets: Option<&[VarId]>,
         mode: QueryMode,
     ) -> Result<QueryResult, InferenceError> {
-        let solver = self.solver.borrow();
+        let solver = self.solver;
         let state = &mut self
             .scratch
             .as_mut()
@@ -611,7 +569,7 @@ impl<S: std::borrow::Borrow<Solver>> SessionCore<S> {
     /// }
     /// ```
     pub fn run_batch(&mut self, batch: &QueryBatch) -> Vec<Result<QueryResult, InferenceError>> {
-        let solver = self.solver.borrow();
+        let solver = self.solver;
         if solver.outer_pool_for(batch.len()).is_some() {
             return solver.run_batch_outer(batch);
         }
@@ -651,7 +609,7 @@ impl<S: std::borrow::Borrow<Solver>> SessionCore<S> {
         evidence: &Evidence,
         vars: &[VarId],
     ) -> Result<Option<PotentialTable>, InferenceError> {
-        let solver = self.solver.borrow();
+        let solver = self.solver;
         let state = &mut self
             .scratch
             .as_mut()
@@ -662,30 +620,30 @@ impl<S: std::borrow::Borrow<Solver>> SessionCore<S> {
 
     /// The solver this session queries.
     pub fn solver(&self) -> &Solver {
-        self.solver.borrow()
+        self.solver
     }
 }
 
-impl<S: std::borrow::Borrow<Solver>> std::fmt::Debug for SessionCore<S> {
+impl std::fmt::Debug for Session<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("solver", self.solver.borrow())
+            .field("solver", self.solver)
             .finish_non_exhaustive()
     }
 }
 
-impl<S: std::borrow::Borrow<Solver>> Drop for SessionCore<S> {
+impl Drop for Session<'_> {
     fn drop(&mut self) {
         if let Some(node) = self.scratch.take() {
-            self.solver.borrow().scratch.release(node);
+            self.solver.scratch.release(node);
         }
     }
 }
 
 /// The engine-driving sequence of one query — validate, consult the
 /// cache, then (on a miss) reset, evidence, virtual evidence, propagate,
-/// extract — on caller-provided scratch. Shared by [`Session::run`] /
-/// `OwnedSession::run` (session scratch) and [`Session::run_batch`] (one
+/// extract — on caller-provided scratch. Shared by [`Session::run`]
+/// (session scratch) and [`Session::run_batch`] (one
 /// pooled scratch per chunk), so the cache sees every path with per-slot
 /// hit/miss granularity. Errors leave `state` dirty but harmless,
 /// because every call starts with a full reset.
@@ -748,8 +706,8 @@ fn compute_on_state(
     }
 }
 
-/// The in-clique joint-posterior sequence shared by
-/// [`Session::joint_posterior`] and `OwnedSession::joint_posterior`.
+/// The in-clique joint-posterior sequence behind
+/// [`Session::joint_posterior`].
 pub(crate) fn joint_on_state(
     solver: &Solver,
     state: &mut WorkState,

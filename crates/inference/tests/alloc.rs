@@ -8,18 +8,32 @@
 //! counting `#[global_allocator]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::sync::{Arc, Barrier};
 
 use fastbn_bayesnet::{datasets, generators, sampler, Evidence};
 use fastbn_inference::{EvidenceDelta, InferenceEngine, Prepared, SeqJt, Solver, WorkState};
 use fastbn_jtree::JtreeOptions;
 
-/// Counts every allocation (alloc / alloc_zeroed / realloc) and defers
-/// the real work to the system allocator.
+/// Counts every allocation (alloc / alloc_zeroed / realloc) made by the
+/// current thread and defers the real work to the system allocator.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread allocation count. libtest runs tests on parallel
+    /// threads, so a process-wide counter would charge one test for
+    /// another's allocations; each test reads only its own thread's
+    /// count. `const` initialisation and no destructor mean the
+    /// allocator can touch it without allocating or registering
+    /// anything, even during thread start-up or teardown.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only after the slot is destroyed, which a
+    // destructor-free `Cell` never is; ignoring the error is then safe.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method defers to `System`, which upholds the
 // `GlobalAlloc` contract; the counter increment has no effect on the
@@ -27,19 +41,19 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller contract forwarded verbatim to `System::alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     // SAFETY: caller contract forwarded verbatim to `System::alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     // SAFETY: caller contract forwarded verbatim to `System::realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -52,8 +66,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// One full query cycle on pre-built scratch.
@@ -174,4 +189,32 @@ fn workstate_construction_allocates_but_clone_stays_flat() {
     let a = count_new(&small);
     let b = count_new(&large);
     assert_eq!(a, b, "WorkState allocations must not scale with tree size");
+}
+
+#[test]
+fn allocations_on_another_thread_are_not_counted() {
+    // Spawning allocates on this thread, and so may a barrier's first
+    // wait; both happen before the measured window, in which only the
+    // other thread allocates.
+    let sync = Barrier::new(2);
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(|| {
+            sync.wait(); // warm-up
+            sync.wait(); // window opens
+            let before = allocations();
+            let buf = std::hint::black_box(vec![0u8; 4096]);
+            drop(buf);
+            let counted = allocations() - before;
+            sync.wait(); // window closes
+            counted
+        });
+        sync.wait();
+        let before = allocations();
+        sync.wait();
+        sync.wait();
+        let delta = allocations() - before;
+        assert_eq!(delta, 0, "another thread's allocation was charged here");
+        let counted = worker.join().expect("worker panicked");
+        assert!(counted >= 1, "the allocating thread counts its own");
+    });
 }

@@ -211,7 +211,7 @@ impl ThreadPool {
     /// Folding in chunk order makes the result deterministic for a fixed
     /// schedule; with a `Dynamic` schedule the chunking is independent of
     /// the pool width, so results are bit-identical across thread counts —
-    /// the determinism policy of DESIGN.md §6.
+    /// the determinism policy in `docs/ARCHITECTURE.md`.
     pub fn parallel_reduce<T, M, F>(
         &self,
         range: Range<usize>,

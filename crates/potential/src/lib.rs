@@ -27,7 +27,8 @@
 //! [`fastbn_parallel::ThreadPool`] + [`fastbn_parallel::Schedule`]) in
 //! [`ops_par`]. Parallel results are bit-identical to sequential ones: for
 //! every output entry, contributions are accumulated in ascending source
-//! index order in both paths (DESIGN.md §6). Where these operations sit
+//! index order in both paths (the determinism policy in
+//! `docs/ARCHITECTURE.md`). Where these operations sit
 //! in the full stack is mapped in `docs/ARCHITECTURE.md` at the
 //! repository root.
 

@@ -11,7 +11,6 @@
 //! fastbn: deny-hot-alloc
 
 use crate::domain::Domain;
-use crate::index_map::embedding_strides;
 use crate::plan::KernelPlan;
 use crate::table::PotentialTable;
 use fastbn_bayesnet::VarId;
@@ -52,21 +51,6 @@ pub fn extend_divide(table: &mut PotentialTable, msg: &PotentialTable) {
     debug_assert!(msg.domain().is_subdomain_of(table.domain()));
     let plan = KernelPlan::new(table.domain(), msg.domain());
     plan.extend_divide(table.values_mut(), msg.values());
-}
-
-/// Element-wise `num[i] / den[i]` written into `out[i]`, all on the same
-/// domain, with `0 / 0 = 0`. This is the separator-update step of Hugin
-/// propagation (`ratio = new_sep / old_sep`).
-pub fn divide_into(num: &PotentialTable, den: &PotentialTable, out: &mut PotentialTable) {
-    debug_assert_eq!(num.domain().vars(), den.domain().vars());
-    debug_assert_eq!(num.domain().vars(), out.domain().vars());
-    let out_values = out.values_mut();
-    for (o, (&n, &d)) in out_values
-        .iter_mut()
-        .zip(num.values().iter().zip(den.values()))
-    {
-        *o = safe_div(n, d);
-    }
 }
 
 /// The fused Hugin separator update: given the freshly marginalized
@@ -177,39 +161,6 @@ pub fn marginal_of_var_into(values: &[f64], domain: &Domain, var: VarId, out: &m
     }
 }
 
-/// Max-marginalization: like [`marginalize_into`] but taking the maximum
-/// over each fiber instead of the sum — the core of max-product (MPE)
-/// propagation.
-pub fn max_marginalize_into(src: &PotentialTable, out: &mut PotentialTable) {
-    debug_assert!(out.domain().is_subdomain_of(src.domain()));
-    let plan = KernelPlan::new(src.domain(), out.domain());
-    plan.max_marginalize(src.values(), out.values_mut());
-}
-
-/// Max-marginal of a single variable: `out[s] = max { table[i] :
-/// state_of(i, var) = s }`.
-// fastbn: allow(hot-alloc): allocating convenience form (MPE read path).
-pub fn max_marginal_of_var(table: &PotentialTable, var: VarId) -> Vec<f64> {
-    let stride = table.domain().stride_of(var);
-    let card = table.domain().card_of(var);
-    let values = table.values();
-    let mut out = vec![f64::NEG_INFINITY; card];
-    let block = stride * card;
-    let mut base = 0;
-    while base < values.len() {
-        for (s, slot) in out.iter_mut().enumerate() {
-            let start = base + s * stride;
-            for &v in &values[start..start + stride] {
-                if v > *slot {
-                    *slot = v;
-                }
-            }
-        }
-        base += block;
-    }
-    out
-}
-
 /// Division with the Hugin `0/0 = 0` convention.
 #[inline]
 pub fn safe_div(n: f64, d: f64) -> f64 {
@@ -219,12 +170,6 @@ pub fn safe_div(n: f64, d: f64) -> f64 {
     } else {
         n / d
     }
-}
-
-/// Precomputed strides of `sub` inside `sup`, for callers that run the
-/// extension mapping manually (the hybrid engine's flattened loops).
-pub fn extension_strides(sup: &Domain, sub: &Domain) -> Vec<usize> {
-    embedding_strides(sup, sub)
 }
 
 #[cfg(test)]
@@ -333,13 +278,8 @@ mod tests {
 
     #[test]
     fn divide_handles_zero_over_zero() {
-        let d = dom(&[(0, 2)]);
-        let num = PotentialTable::from_values(d.clone(), vec![0.0, 0.6]);
-        let den = PotentialTable::from_values(d.clone(), vec![0.0, 0.3]);
-        let mut out = PotentialTable::zeros(d);
-        divide_into(&num, &den, &mut out);
-        assert_eq!(out.values()[0], 0.0);
-        assert!((out.values()[1] - 2.0).abs() < 1e-12);
+        assert_eq!(safe_div(0.0, 0.0), 0.0);
+        assert!((safe_div(0.6, 0.3) - 2.0).abs() < 1e-12);
     }
 
     #[test]

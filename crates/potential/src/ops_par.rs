@@ -29,7 +29,7 @@ use crate::domain::Domain;
 use crate::index_map::{embedding_strides, Odometer};
 use crate::ops::safe_div;
 use crate::plan::KernelPlan;
-use crate::table::{PotentialTable, ZeroSumError};
+use crate::table::PotentialTable;
 
 /// Raw-pointer wrapper allowing disjoint chunks to write a shared output
 /// slice. Soundness: callers only ever hand each chunk the sub-slice
@@ -200,41 +200,6 @@ pub fn extend_multiply_par(
     extend_multiply_plan_par(pool, sched, &plan, table.values_mut(), msg.values());
 }
 
-/// Parallel extension-divide over tables with `0/0 = 0`.
-pub fn extend_divide_par(
-    pool: &ThreadPool,
-    sched: Schedule,
-    table: &mut PotentialTable,
-    msg: &PotentialTable,
-) {
-    debug_assert!(msg.domain().is_subdomain_of(table.domain()));
-    let plan = KernelPlan::new(table.domain(), msg.domain());
-    extend_divide_plan_par(pool, sched, &plan, table.values_mut(), msg.values());
-}
-
-/// Parallel same-domain element-wise division (`out = num / den`,
-/// `0/0 = 0`): the separator-ratio step.
-pub fn divide_into_par(
-    pool: &ThreadPool,
-    sched: Schedule,
-    num: &PotentialTable,
-    den: &PotentialTable,
-    out: &mut PotentialTable,
-) {
-    debug_assert_eq!(num.domain().vars(), den.domain().vars());
-    debug_assert_eq!(num.domain().vars(), out.domain().vars());
-    let n = num.values();
-    let d = den.values();
-    let ptr = SharedMut(out.values_mut().as_mut_ptr());
-    pool.parallel_for_chunks(0..n.len(), sched, |start, end| {
-        // SAFETY: chunks are disjoint sub-ranges of the output.
-        let chunk = unsafe { ptr.range(start, end) };
-        for (i, o) in (start..end).zip(chunk) {
-            *o = safe_div(n[i], d[i]);
-        }
-    });
-}
-
 /// Parallel reduction over tables: zeroes entries inconsistent with
 /// `var = state`.
 pub fn reduce_evidence_par(
@@ -247,41 +212,6 @@ pub fn reduce_evidence_par(
     let stride = table.domain().stride_of(var);
     let card = table.domain().card_of(var);
     reduce_evidence_slice_par(pool, sched, table.values_mut(), stride, card, state);
-}
-
-/// Parallel sum of all entries (chunk-ordered fold: deterministic across
-/// thread counts under a `Dynamic` schedule).
-pub fn sum_par(pool: &ThreadPool, sched: Schedule, table: &PotentialTable) -> f64 {
-    let values = table.values();
-    pool.parallel_reduce(
-        0..values.len(),
-        sched,
-        0.0,
-        |s, e| values[s..e].iter().sum::<f64>(),
-        |a, b| a + b,
-    )
-}
-
-/// Parallel normalization; returns the pre-normalization sum.
-pub fn normalize_par(
-    pool: &ThreadPool,
-    sched: Schedule,
-    table: &mut PotentialTable,
-) -> Result<f64, ZeroSumError> {
-    let sum = sum_par(pool, sched, table);
-    if sum <= 0.0 || !sum.is_finite() {
-        return Err(ZeroSumError);
-    }
-    let inv = 1.0 / sum;
-    let len = table.len();
-    let ptr = SharedMut(table.values_mut().as_mut_ptr());
-    pool.parallel_for_chunks(0..len, sched, |start, end| {
-        // SAFETY: chunks are disjoint sub-ranges of the table.
-        for v in unsafe { ptr.range(start, end) } {
-            *v *= inv;
-        }
-    });
-    Ok(sum)
 }
 
 /// Element-engine pass 1: materializes the full `iter_domain → target`
@@ -335,17 +265,6 @@ pub fn extend_multiply_mapped_slice_par(
     });
 }
 
-/// Element-engine pass 2 (extension) over tables.
-pub fn extend_multiply_mapped_par(
-    pool: &ThreadPool,
-    sched: Schedule,
-    table: &mut PotentialTable,
-    msg: &PotentialTable,
-    map: &[u32],
-) {
-    extend_multiply_mapped_slice_par(pool, sched, table.values_mut(), msg.values(), map);
-}
-
 /// Element-engine pass 2 (marginalization) over raw slices:
 /// `out[t] = Σ_f src[bases[t] + fibers[f]]`, with `bases` produced by
 /// [`materialize_map_par`] over `(target → source)`. Allocation-free.
@@ -372,18 +291,6 @@ pub fn marginalize_mapped_slice_par(
             *slot = acc;
         }
     });
-}
-
-/// Element-engine pass 2 (marginalization) over tables.
-pub fn marginalize_mapped_par(
-    pool: &ThreadPool,
-    sched: Schedule,
-    src: &PotentialTable,
-    out: &mut PotentialTable,
-    bases: &[u32],
-    fibers: &[usize],
-) {
-    marginalize_mapped_slice_par(pool, sched, src.values(), out.values_mut(), bases, fibers);
 }
 
 #[cfg(test)]
@@ -465,26 +372,16 @@ mod tests {
         let mut expected = base.clone();
         ops::extend_divide(&mut expected, &msg);
         let pool = ThreadPool::new(4);
+        let plan = KernelPlan::new(base.domain(), msg.domain());
         let mut got = base.clone();
-        extend_divide_par(&pool, Schedule::Dynamic { grain: 1 }, &mut got, &msg);
+        extend_divide_plan_par(
+            &pool,
+            Schedule::Dynamic { grain: 1 },
+            &plan,
+            got.values_mut(),
+            msg.values(),
+        );
         assert_eq!(got.values(), expected.values());
-    }
-
-    #[test]
-    fn divide_into_par_matches_seq() {
-        let d = dom(&[(0, 4), (1, 3)]);
-        let num = pseudo_random_table(d.clone(), 4);
-        let mut den = pseudo_random_table(d.clone(), 5);
-        den.values_mut()[0] = 0.0; // force a 0/x and pair it with 0 num
-        let mut num = num;
-        num.values_mut()[0] = 0.0;
-        let mut expected = PotentialTable::zeros(d.clone());
-        ops::divide_into(&num, &den, &mut expected);
-        for pool in pools() {
-            let mut got = PotentialTable::zeros(d.clone());
-            divide_into_par(&pool, Schedule::Static, &num, &den, &mut got);
-            assert_eq!(got.values(), expected.values());
-        }
     }
 
     #[test]
@@ -528,33 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_and_normalize_par() {
-        let d = dom(&[(0, 5), (1, 5)]);
-        let base = pseudo_random_table(d, 7);
-        let pool = ThreadPool::new(4);
-        let sched = Schedule::Dynamic { grain: 3 };
-        let total = sum_par(&pool, sched, &base);
-        // Chunk-ordered fold must equal the same chunking sequentially.
-        let seq_chunked: f64 = (0..base.len())
-            .step_by(3)
-            .map(|s| {
-                base.values()[s..(s + 3).min(base.len())]
-                    .iter()
-                    .sum::<f64>()
-            })
-            .sum();
-        assert_eq!(total, seq_chunked);
-
-        let mut t = base.clone();
-        let z = normalize_par(&pool, sched, &mut t).unwrap();
-        assert_eq!(z, total);
-        assert!((t.sum() - 1.0).abs() < 1e-12);
-
-        let mut zero = PotentialTable::zeros(dom(&[(0, 3)]));
-        assert_eq!(normalize_par(&pool, sched, &mut zero), Err(ZeroSumError));
-    }
-
-    #[test]
     fn materialize_map_par_matches_seq() {
         let sup = dom(&[(0, 3), (1, 2), (2, 2)]);
         let sub = dom(&[(0, 3), (2, 2)]);
@@ -579,7 +449,7 @@ mod tests {
         ops::extend_multiply(&mut direct, &msg);
         let map = materialize_map_par(&pool, sched, &sup, &sub);
         let mut mapped = src.clone();
-        extend_multiply_mapped_par(&pool, sched, &mut mapped, &msg, &map);
+        extend_multiply_mapped_slice_par(&pool, sched, mapped.values_mut(), msg.values(), &map);
         assert_eq!(mapped.values(), direct.values());
 
         // Marginalization via base mapping + fibers.
@@ -588,7 +458,14 @@ mod tests {
         let bases = materialize_map_par(&pool, sched, &sub, &sup);
         let fibers = fiber_offsets(&sup, &sub);
         let mut got = PotentialTable::zeros(sub);
-        marginalize_mapped_par(&pool, sched, &src, &mut got, &bases, &fibers);
+        marginalize_mapped_slice_par(
+            &pool,
+            sched,
+            src.values(),
+            got.values_mut(),
+            &bases,
+            &fibers,
+        );
         assert_eq!(got.values(), expect.values());
     }
 

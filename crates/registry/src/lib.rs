@@ -64,9 +64,10 @@
 //! let _query_again = err.into_query();
 //! ```
 //!
-//! The single-model [`Server`](https://docs.rs/fastbn-serve) in
-//! `fastbn-serve` is a thin wrapper over a one-entry registry — same
-//! machinery, fixed routing. Where this layer sits in the stack is
+//! Serving a single model is the same machinery over a one-entry
+//! registry: build it with `Registry::builder().build()`,
+//! [`Registry::insert`] the solver, and submit under its id
+//! (`examples/serving.rs`). Where this layer sits in the stack is
 //! mapped out in `docs/ARCHITECTURE.md` at the repository root, and
 //! `examples/multi_model.rs` is a runnable quickstart.
 

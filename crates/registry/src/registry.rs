@@ -107,8 +107,8 @@ struct Entry {
 }
 
 /// Where the shared pool comes from. The pool is created lazily — a
-/// registry that only ever holds pre-built solvers (the single-model
-/// serve shim) never spawns a worker team of its own.
+/// registry that only ever holds pre-built, [`Registry::insert`]ed
+/// solvers never spawns a worker team of its own.
 enum PoolSource {
     /// Spawn a pool of this width on first use.
     Width(usize),
@@ -256,8 +256,9 @@ impl Registry {
     /// returning) any previous model with that id. For pool sharing to
     /// mean anything the solver should have been compiled on
     /// [`Registry::pool_handle`] — pre-built solvers with private
-    /// pools are accepted (the single-model serve shim relies on it)
-    /// but bring their own worker team along.
+    /// pools are accepted (a one-model registry serving an existing
+    /// solver is the common case) but bring their own worker team
+    /// along.
     pub fn insert(
         &self,
         id: impl Into<String>,

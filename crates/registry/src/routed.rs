@@ -1,7 +1,7 @@
 //! The [`RoutedServer`]: model-aware micro-batching over a
-//! [`Registry`] — the generalization of `fastbn-serve`'s single-model
-//! queue/window/cancellation machinery to many models on one worker
-//! pool.
+//! [`Registry`] — a bounded queue, deadline windows and cancellation
+//! for one or many models on one worker pool. A single model is a
+//! one-entry registry.
 //!
 //! # How a routed request flows
 //!
@@ -30,9 +30,8 @@
 //!    a [`Pending`] cancels; shutdown drains accepted requests and
 //!    joins the workers.
 //!
-//! Global traffic counters keep the single-model
-//! [`ServerStats`] contract; [`RoutedServer::model_stats`] adds the
-//! per-model breakdown.
+//! Global traffic counters form the [`ServerStats`] contract;
+//! [`RoutedServer::model_stats`] adds the per-model breakdown.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -249,9 +248,7 @@ impl SubmitError {
         self.kind
     }
 
-    /// The model id the submission was routed to (the single-model
-    /// compatibility surface in `fastbn-serve` always routes to its
-    /// `SINGLE_MODEL_ID`).
+    /// The model id the submission was routed to.
     pub fn model(&self) -> &str {
         &self.model
     }
@@ -314,8 +311,8 @@ impl std::fmt::Debug for Pending {
     }
 }
 
-/// Configures and starts a [`RoutedServer`]; the micro-batching knobs
-/// are identical to the single-model server's.
+/// Configures and starts a [`RoutedServer`]; see the setters for the
+/// micro-batching knobs.
 pub struct RoutedServerBuilder {
     registry: Arc<Registry>,
     workers: usize,

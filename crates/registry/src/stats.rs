@@ -1,6 +1,6 @@
-//! Traffic counters for the serving front ends: the global
-//! [`ServerStats`] snapshot (shared with `fastbn-serve`) and the
-//! per-model [`ModelStats`] breakdown the routed server adds on top.
+//! Traffic counters for the routed serving front end: the global
+//! [`ServerStats`] snapshot and the per-model [`ModelStats`]
+//! breakdown.
 
 use std::sync::Arc;
 

@@ -4,7 +4,7 @@
 //! This shows the *offline* batch path — the caller assembles the batch
 //! by hand. For live traffic (requests arriving one at a time from many
 //! clients), don't hand-roll this: the `serving` example shows the
-//! recommended front end, a `fastbn::Server` that coalesces queued
+//! recommended front end, a `fastbn::RoutedServer` that coalesces queued
 //! requests into these same batches with a deadline.
 //!
 //! Run with: `cargo run --release --example batch_serving`
@@ -28,7 +28,7 @@ fn main() {
         net.num_vars()
     );
 
-    // A mixed batch, like the ones the `Server` front end assembles from
+    // A mixed batch, like the ones the `RoutedServer` front end assembles from
     // queued requests: sampled-evidence marginals, a targeted query, a
     // virtual-evidence query, an MPE query — and one bad request, whose
     // typed error occupies its own slot without failing the batch.

@@ -4,7 +4,7 @@
 //! The one-query-at-a-time loop below is deliberate: it reproduces the
 //! paper's repeated-inference timing methodology. When you just want N
 //! independent queries answered fast, use `Session::run_batch` (see the
-//! batch_serving example) or a `Server` (see the serving example)
+//! batch_serving example) or a `RoutedServer` (see the serving example)
 //! instead of a loop like this.
 //!
 //! Run with: `cargo run --release --example engine_comparison`

@@ -94,7 +94,7 @@ fn main() {
 
     // Got many independent queries instead of one? Don't loop — group
     // them into a `QueryBatch` (see the batch_serving example), and for
-    // live traffic from many clients put a `Server` in front (see the
+    // live traffic from many clients put a `RoutedServer` in front (see the
     // serving example; pair it with `.cache(..)` so repeated requests
     // are answered from memory and identical in-flight requests dedup).
 }

@@ -1,7 +1,8 @@
 //! End-to-end serving: concurrent clients submit single queries to a
-//! `Server`, which coalesces them into deadline-bounded micro-batches
-//! behind a bounded queue — the serving shape that `batch_serving.rs`
-//! hand-rolls with an explicit `QueryBatch`.
+//! `RoutedServer` over a one-model `Registry`, which coalesces them into
+//! deadline-bounded micro-batches behind a bounded queue — the serving
+//! shape that `batch_serving.rs` hand-rolls with an explicit
+//! `QueryBatch`.
 //!
 //! Run with: `cargo run --release --example serving`
 
@@ -9,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fastbn::bayesnet::{datasets, sampler};
-use fastbn::{EngineKind, Query, Server, Solver, SubmitErrorKind};
+use fastbn::{EngineKind, Query, Registry, RoutedServer, Solver, SubmitErrorKind};
 
 fn main() {
     let net = datasets::asia();
@@ -21,10 +22,17 @@ fn main() {
             .build(),
     );
 
+    // One model, registered under its name: requests are routed by id.
+    let model = net.name();
+    let registry = Arc::new(Registry::builder().build());
+    registry
+        .insert(model, Arc::clone(&solver))
+        .expect("a fresh unbounded registry always has room");
+
     // The serving front end: 2 workers, micro-batches of up to
     // `threads` requests (the width where the outer-parallel batch path
     // kicks in), each window held open at most 300µs.
-    let server = Server::builder(Arc::clone(&solver))
+    let server = RoutedServer::builder(registry)
         .workers(2)
         .max_batch(threads)
         .max_delay(Duration::from_micros(300))
@@ -65,7 +73,7 @@ fn main() {
                             _ => Query::new().evidence(case.evidence),
                         };
                         let begin = Instant::now();
-                        let pending = server.submit(query).expect("server accepting");
+                        let pending = server.submit(model, query).expect("server accepting");
                         pending.wait().expect("well-formed request");
                         latencies.push(begin.elapsed());
                     }
@@ -109,7 +117,7 @@ fn main() {
     let mut rejected = 0u32;
     let mut pending = Vec::new();
     for _ in 0..4 * server.queue_capacity() {
-        match server.try_submit(Query::new()) {
+        match server.try_submit(model, Query::new()) {
             Ok(p) => {
                 accepted += 1;
                 pending.push(p);
@@ -125,6 +133,6 @@ fn main() {
 
     // Graceful shutdown: accepted work is drained, then intake closes.
     server.shutdown();
-    assert!(server.submit(Query::new()).is_err(), "intake closed");
+    assert!(server.submit(model, Query::new()).is_err(), "intake closed");
     println!("shut down cleanly: {:?}", server.stats());
 }

@@ -78,29 +78,31 @@
 //! ## Live serving
 //!
 //! Under live traffic — single requests arriving from many clients —
-//! don't hand-roll batches or per-query loops: put a [`Server`] in
-//! front. It owns worker threads over the shared solver, coalesces
-//! queued requests into deadline-bounded micro-batches (feeding the
-//! same `run_batch` path), pushes back through a bounded queue, and
-//! delivers each request's own result; dropping a pending handle
-//! cancels that request:
+//! don't hand-roll batches or per-query loops: register the solver in a
+//! [`Registry`] and put a [`RoutedServer`] in front. It owns worker
+//! threads over the registered solvers, coalesces queued requests into
+//! deadline-bounded micro-batches (feeding the same `run_batch` path),
+//! pushes back through a bounded queue, and delivers each request's own
+//! result; dropping a [`Pending`] handle cancels that request:
 //!
 //! ```
 //! use std::sync::Arc;
 //! use std::time::Duration;
 //! use fastbn::bayesnet::datasets;
-//! use fastbn::{EngineKind, Query, Server, Solver};
+//! use fastbn::{EngineKind, Query, Registry, RoutedServer, Solver};
 //!
 //! let net = datasets::sprinkler();
 //! let solver = Arc::new(Solver::builder(&net).engine(EngineKind::Hybrid).threads(2).build());
-//! let server = Server::builder(Arc::clone(&solver))
+//! let registry = Arc::new(Registry::builder().build());
+//! registry.insert("sprinkler", solver).unwrap();
+//! let server = RoutedServer::builder(registry)
 //!     .workers(2)
 //!     .max_batch(4)
 //!     .max_delay(Duration::from_micros(200))
 //!     .build();
 //! let rain = net.var_id("Rain").unwrap();
 //! let pending: Vec<_> = (0..8)
-//!     .map(|i| server.submit(Query::new().observe(rain, i % 2)).unwrap())
+//!     .map(|i| server.submit("sprinkler", Query::new().observe(rain, i % 2)).unwrap())
 //!     .collect();
 //! for p in pending {
 //!     assert!(p.wait().unwrap().posteriors().unwrap().prob_evidence > 0.0);
@@ -115,11 +117,10 @@
 //! ## Multi-model serving
 //!
 //! Serving *several* networks from one process? Don't give each its
-//! own worker pool: put them in a [`Registry`] — every model compiles
-//! onto **one shared pool** — and route traffic by model id through a
-//! [`RoutedServer`], which supports hot load/unload mid-traffic, LRU
-//! capacity bounds, and per-model stats (see
-//! `examples/multi_model.rs`):
+//! own worker pool: [`Registry::load`] compiles every model onto
+//! **one shared pool**, and the same [`RoutedServer`] routes traffic by
+//! model id, with hot load/unload mid-traffic, LRU capacity bounds,
+//! and per-model stats (see `examples/multi_model.rs`):
 //!
 //! ```
 //! use std::sync::Arc;
@@ -155,8 +156,6 @@ pub use fastbn_parallel as parallel;
 pub use fastbn_potential as potential;
 /// Multi-model registry and routed serving over one shared pool.
 pub use fastbn_registry as registry;
-/// Micro-batching serving front end over `Solver`.
-pub use fastbn_serve as serve;
 /// Metrics/tracing: counters, latency histograms, JSON export.
 pub use fastbn_telemetry as telemetry;
 
@@ -164,25 +163,17 @@ pub use fastbn_bayesnet::{BayesianNetwork, Evidence, NetworkBuilder, VarId, Vari
 pub use fastbn_inference::trace::TraceContext;
 pub use fastbn_inference::{
     make_engine, CacheConfig, CacheStats, DirectJt, ElementJt, EngineKind, EvidenceDelta, HybridJt,
-    InferenceEngine, InferenceError, LikelihoodDefect, LiveSession, MpeResult, OwnedSession,
-    Posteriors, Prepared, PrimitiveJt, Query, QueryBatch, QueryCache, QueryKey, QueryMode,
-    QueryResult, ReferenceJt, SeqJt, Session, SessionCore, Solver, SolverBuilder, VirtualEvidence,
-    WorkState,
+    InferenceEngine, InferenceError, LikelihoodDefect, LiveSession, MpeResult, Posteriors,
+    Prepared, PrimitiveJt, Query, QueryBatch, QueryCache, QueryKey, QueryMode, QueryResult,
+    ReferenceJt, SeqJt, Session, Solver, SolverBuilder, VirtualEvidence, WorkState,
 };
 pub use fastbn_jtree::JtreeOptions;
 pub use fastbn_parallel::{Schedule, ThreadPool};
 pub use fastbn_registry::{
-    ModelConfig, ModelStats, Registry, RegistryBuilder, RegistryError, RoutedServer,
-    RoutedServerBuilder,
-};
-pub use fastbn_serve::{
-    Pending, ServeError, Server, ServerBuilder, ServerStats, SubmitError, SubmitErrorKind,
-    SINGLE_MODEL_ID,
+    ModelConfig, ModelStats, Pending, Registry, RegistryBuilder, RegistryError, RoutedServer,
+    RoutedServerBuilder, ServeError, ServerStats, SubmitError, SubmitErrorKind,
 };
 pub use fastbn_telemetry::{
     prometheus_text, Counter, Histogram, HistogramSnapshot, Introspection, IntrospectionBuilder,
     MetricsRegistry, MetricsSnapshot, SlowEntry, SpanRecord, TraceConfig, TraceView, Tracer,
 };
-
-#[allow(deprecated)]
-pub use fastbn_inference::{build_engine, LegacyEngine};

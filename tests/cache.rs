@@ -133,7 +133,8 @@ fn cached_batches_count_hits_per_slot() {
 
 #[test]
 fn cached_solver_through_the_server_matches_the_uncached_oracle() {
-    use fastbn::{ServeError, Server};
+    use fastbn::{RoutedServer, ServeError};
+    use fastbn_bench::measure::one_model_registry;
     use std::time::Duration;
 
     let net = datasets::asia();
@@ -150,7 +151,7 @@ fn cached_solver_through_the_server_matches_the_uncached_oracle() {
             .cache(CacheConfig::default())
             .build(),
     );
-    let server = Server::builder(Arc::clone(&cached))
+    let server = RoutedServer::builder(one_model_registry("asia", Arc::clone(&cached)))
         .workers(2)
         .max_batch(4)
         .max_delay(Duration::from_micros(100))
@@ -166,7 +167,7 @@ fn cached_solver_through_the_server_matches_the_uncached_oracle() {
                 scope.spawn(move || {
                     let mut mine = Vec::new();
                     for (idx, query) in queries.iter().enumerate().skip(s).step_by(submitters) {
-                        let pending = server.submit(query.clone()).expect("accepting");
+                        let pending = server.submit("asia", query.clone()).expect("accepting");
                         mine.push((idx, pending.wait()));
                     }
                     mine

@@ -5,7 +5,10 @@
 use std::sync::Arc;
 
 use fastbn::bayesnet::{datasets, generators, sampler};
-use fastbn::{EngineKind, Evidence, Posteriors, Prepared, Query, Solver};
+use fastbn::{
+    EngineKind, Evidence, InferenceError, Posteriors, Prepared, Query, QueryBatch, QueryResult,
+    Session, Solver,
+};
 
 const QUERY_THREADS: usize = 8;
 const ROUNDS: usize = 10;
@@ -156,4 +159,107 @@ fn mixed_query_kinds_interleave_concurrently() {
             });
         }
     });
+}
+
+/// A mixed query set over Asia: sampled-evidence marginals, a targeted
+/// query, virtual evidence, MPE, and two failing requests (impossible
+/// evidence; malformed likelihood).
+fn mixed_queries(net: &fastbn::BayesianNetwork) -> Vec<Query> {
+    let dysp = net.var_id("Dyspnea").unwrap();
+    let lung = net.var_id("LungCancer").unwrap();
+    let xray = net.var_id("XRay").unwrap();
+    let tub = net.var_id("Tuberculosis").unwrap();
+    let either = net.var_id("TbOrCa").unwrap();
+    let mut queries: Vec<Query> = sampler::generate_cases(net, 12, 0.25, 11)
+        .into_iter()
+        .map(|c| Query::new().evidence(c.evidence))
+        .collect();
+    queries.push(Query::new().observe(dysp, 0).targets([lung, tub]));
+    queries.push(Query::new().likelihood(xray, vec![0.8, 0.2]));
+    queries.push(Query::new().observe(dysp, 0).mpe());
+    queries.push(Query::new().observe(tub, 0).observe(either, 1)); // P(e) = 0
+    queries.push(Query::new().likelihood(xray, vec![0.0, 0.0])); // malformed
+    queries
+}
+
+fn assert_identical(
+    a: &[Result<QueryResult, InferenceError>],
+    b: &[Result<QueryResult, InferenceError>],
+    label: &str,
+) {
+    assert_eq!(a.len(), b.len(), "{label}: length mismatch");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x, y, "{label}: slot {i} differs");
+        if let (Ok(QueryResult::Marginals(p)), Ok(QueryResult::Marginals(q))) = (x, y) {
+            assert_eq!(p.max_abs_diff(q), 0.0, "{label}: slot {i} not bitwise");
+            assert_eq!(p.prob_evidence.to_bits(), q.prob_evidence.to_bits());
+        }
+    }
+}
+
+#[test]
+fn session_moved_to_another_thread_matches_for_every_engine() {
+    fn assert_send<T: Send>() {}
+    assert_send::<Session<'static>>();
+
+    let net = datasets::asia();
+    let prepared = Arc::new(Prepared::new(&net, &Default::default()));
+    let queries = mixed_queries(&net);
+    for kind in EngineKind::all() {
+        let solver = Solver::from_prepared(prepared.clone())
+            .engine(kind)
+            .threads(2)
+            .build();
+        // Oracle: a session on this thread, one query at a time.
+        let mut session = solver.session();
+        let expected: Vec<_> = queries.iter().map(|q| session.run(q)).collect();
+        drop(session);
+        // Candidate: sessions opened here, *moved into* another thread.
+        let batch = QueryBatch::from(queries.clone());
+        let mut runner = solver.session();
+        let mut batcher = solver.session();
+        let (got, got_batch) = std::thread::scope(|scope| {
+            let got = scope.spawn(|| queries.iter().map(|q| runner.run(q)).collect::<Vec<_>>());
+            let got_batch = scope.spawn(|| batcher.run_batch(&batch));
+            (
+                got.join().expect("session thread panicked"),
+                got_batch.join().expect("batch thread panicked"),
+            )
+        });
+        assert_identical(&expected, &got, &format!("{kind:?} run"));
+        assert_identical(&expected, &got_batch, &format!("{kind:?} run_batch"));
+    }
+}
+
+#[test]
+fn many_sessions_share_one_scratch_pool() {
+    let net = datasets::asia();
+    let solver = Solver::new(&net);
+    let ev = Evidence::empty();
+    let expected = solver.posteriors(&ev).unwrap();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..6)
+            .map(|_| {
+                let mut session = solver.session();
+                let ev = &ev;
+                scope.spawn(move || {
+                    let mut last = session.posteriors(ev).unwrap();
+                    for _ in 0..9 {
+                        let got = session.posteriors(ev).unwrap();
+                        assert_eq!(got.max_abs_diff(&last), 0.0, "bitwise repeatable");
+                        last = got;
+                    }
+                    last
+                })
+            })
+            .collect();
+        for worker in workers {
+            let got = worker.join().unwrap();
+            assert_eq!(expected.max_abs_diff(&got), 0.0, "bitwise across threads");
+        }
+    });
+    assert!(
+        solver.pooled_states() <= 7,
+        "pool bounded by peak concurrency (6 sessions + the one-shot)"
+    );
 }

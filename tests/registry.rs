@@ -25,7 +25,7 @@ use std::time::Duration;
 use fastbn::bayesnet::{datasets, sampler};
 use fastbn::{
     BayesianNetwork, EngineKind, InferenceError, ModelStats, Prepared, Query, QueryResult,
-    Registry, RegistryError, RoutedServer, ServeError, Server, Solver, SubmitErrorKind,
+    Registry, RegistryError, RoutedServer, ServeError, Solver, SubmitErrorKind,
 };
 use fastbn_bench::workloads::workload_by_name;
 
@@ -498,19 +498,4 @@ fn aliased_ids_sharing_one_solver_keep_exact_per_model_stats() {
         assert_eq!(row.batches, 1, "each alias dispatches its own batch");
         assert_eq!(row.dedups, 1, "dedup collapses within the alias only");
     }
-}
-
-#[test]
-fn single_model_server_is_a_one_entry_registry() {
-    // The compatibility shim: same machinery, routing pinned to
-    // SINGLE_MODEL_ID — visible through the per-model breakdown.
-    let server = Server::new(Arc::new(Solver::new(&datasets::sprinkler())));
-    let pending = server.submit(Query::new()).unwrap();
-    assert!(pending.wait().is_ok());
-    server.shutdown();
-    let rows = server.model_stats();
-    assert_eq!(rows.len(), 1);
-    assert_eq!(rows[0].model, fastbn::SINGLE_MODEL_ID);
-    assert_eq!(rows[0].submitted, 1);
-    assert_eq!(rows[0].completed, 1);
 }

@@ -1,6 +1,7 @@
 //! The serving front end's contract, per the acceptance criteria:
 //!
-//! * results delivered through [`Server`] under **concurrent
+//! * results delivered through a [`RoutedServer`] over a one-model
+//!   registry under **concurrent
 //!   multi-threaded submitters** are bit-identical to the sequential
 //!   per-query oracle (a lone `Session` running the same queries one at
 //!   a time), for every engine family — batching, windows, and worker
@@ -20,10 +21,19 @@ use std::time::Duration;
 
 use fastbn::bayesnet::{datasets, sampler};
 use fastbn::{
-    EngineKind, InferenceError, Prepared, Query, QueryResult, ServeError, Server, Solver,
-    SubmitErrorKind,
+    EngineKind, InferenceError, Prepared, Query, QueryResult, RoutedServer, RoutedServerBuilder,
+    ServeError, Solver, SubmitErrorKind,
 };
+use fastbn_bench::measure::one_model_registry;
 use fastbn_bench::workloads::workload_by_name;
+
+/// The id every test registers its one model under.
+const MODEL: &str = "model";
+
+/// A server builder over a one-model registry holding `solver`.
+fn serve(solver: &Arc<Solver>) -> RoutedServerBuilder {
+    RoutedServer::builder(one_model_registry(MODEL, Arc::clone(solver)))
+}
 
 /// A mixed query stream over Asia, failing slots included.
 fn mixed_queries(net: &fastbn::BayesianNetwork, n_sampled: usize) -> Vec<Query> {
@@ -51,7 +61,7 @@ fn oracle(solver: &Solver, queries: &[Query]) -> Vec<Result<QueryResult, Inferen
     queries.iter().map(|q| session.run(q)).collect()
 }
 
-/// Server results must match the oracle slot by slot: same `Ok` payloads
+/// Served results must match the oracle slot by slot: same `Ok` payloads
 /// (bitwise, for marginals), same typed errors.
 fn assert_matches_oracle(
     expected: &[Result<QueryResult, InferenceError>],
@@ -90,7 +100,7 @@ fn concurrent_submitters_match_sequential_oracle_for_every_engine() {
                 .build(),
         );
         let expected = oracle(&solver, &queries);
-        let server = Server::builder(Arc::clone(&solver))
+        let server = serve(&solver)
             .workers(2)
             .max_batch(3)
             .max_delay(Duration::from_micros(100))
@@ -109,8 +119,9 @@ fn concurrent_submitters_match_sequential_oracle_for_every_engine() {
                             for (idx, query) in
                                 queries.iter().enumerate().skip(s).step_by(submitters)
                             {
-                                let pending =
-                                    server.submit(query.clone()).expect("server accepting");
+                                let pending = server
+                                    .submit(MODEL, query.clone())
+                                    .expect("server accepting");
                                 mine.push((idx, pending.wait()));
                             }
                             mine
@@ -151,7 +162,7 @@ fn slow_solver() -> Arc<Solver> {
 #[test]
 fn bounded_queue_rejects_bursts_and_blocking_submit_parks() {
     let solver = slow_solver();
-    let server = Server::builder(Arc::clone(&solver))
+    let server = serve(&solver)
         .workers(1)
         .max_batch(1)
         .max_delay(Duration::ZERO)
@@ -164,7 +175,7 @@ fn bounded_queue_rejects_bursts_and_blocking_submit_parks() {
     let mut accepted = Vec::new();
     let mut saw_full = false;
     for _ in 0..16 {
-        match server.try_submit(query.clone()) {
+        match server.try_submit(MODEL, query.clone()) {
             Ok(pending) => accepted.push(pending),
             Err(e) => {
                 assert_eq!(e.kind(), SubmitErrorKind::QueueFull);
@@ -189,7 +200,7 @@ fn bounded_queue_rejects_bursts_and_blocking_submit_parks() {
             scope
                 .spawn(move || {
                     server
-                        .submit(query)
+                        .submit(MODEL, query)
                         .expect("blocking submit succeeds")
                         .wait()
                 })
@@ -211,7 +222,7 @@ fn dropped_pending_cancels_cleanly_without_touching_neighbours() {
         let mut session = solver.session();
         session.run(&Query::new()).unwrap()
     };
-    let server = Server::builder(Arc::clone(&solver))
+    let server = serve(&solver)
         .workers(1)
         .max_batch(1)
         .max_delay(Duration::ZERO)
@@ -219,10 +230,10 @@ fn dropped_pending_cancels_cleanly_without_touching_neighbours() {
         .build();
     // Occupy the single worker for ~10ms, then line up: keep, cancel,
     // keep. The cancelled request is dropped while still queued.
-    let q0 = server.submit(Query::new()).unwrap();
-    let q1 = server.submit(Query::new()).unwrap();
-    let q2 = server.submit(Query::new()).unwrap();
-    let q3 = server.submit(Query::new()).unwrap();
+    let q0 = server.submit(MODEL, Query::new()).unwrap();
+    let q1 = server.submit(MODEL, Query::new()).unwrap();
+    let q2 = server.submit(MODEL, Query::new()).unwrap();
+    let q3 = server.submit(MODEL, Query::new()).unwrap();
     drop(q2); // cancel while queued behind the busy worker
     for (name, pending) in [("q0", q0), ("q1", q1), ("q3", q3)] {
         let got = pending
@@ -249,13 +260,13 @@ fn dropped_pending_cancels_cleanly_without_touching_neighbours() {
 #[test]
 fn wait_timeout_hands_the_request_back_then_completes() {
     let solver = slow_solver();
-    let server = Server::builder(Arc::clone(&solver))
+    let server = serve(&solver)
         .workers(1)
         .max_batch(1)
         .max_delay(Duration::ZERO)
         .build();
-    let first = server.submit(Query::new()).unwrap();
-    let second = server.submit(Query::new()).unwrap();
+    let first = server.submit(MODEL, Query::new()).unwrap();
+    let second = server.submit(MODEL, Query::new()).unwrap();
     // `second` is queued behind ~10ms of work; a 100µs wait must expire
     // and return the handle rather than cancel it.
     let second = match second.wait_timeout(Duration::from_micros(100)) {
@@ -273,7 +284,7 @@ fn shutdown_drains_accepted_requests_then_rejects() {
     let solver = Arc::new(Solver::new(&net));
     let queries = mixed_queries(&net, 15); // 20 queries
     let expected = oracle(&solver, &queries);
-    let server = Server::builder(Arc::clone(&solver))
+    let server = serve(&solver)
         .workers(2)
         .max_batch(4)
         .max_delay(Duration::from_millis(1))
@@ -281,7 +292,11 @@ fn shutdown_drains_accepted_requests_then_rejects() {
         .build();
     let pending: Vec<_> = queries
         .iter()
-        .map(|q| server.submit(q.clone()).expect("accepting before shutdown"))
+        .map(|q| {
+            server
+                .submit(MODEL, q.clone())
+                .expect("accepting before shutdown")
+        })
         .collect();
     // Shut down while requests are still queued/in flight: intake closes
     // but every accepted request is drained, not discarded.
@@ -289,9 +304,13 @@ fn shutdown_drains_accepted_requests_then_rejects() {
     assert!(server.is_shut_down());
     let got: Vec<_> = pending.into_iter().map(|p| p.wait()).collect();
     assert_matches_oracle(&expected, &got, "drained through shutdown");
-    let rejected = server.submit(Query::new()).expect_err("intake closed");
+    let rejected = server
+        .submit(MODEL, Query::new())
+        .expect_err("intake closed");
     assert_eq!(rejected.kind(), SubmitErrorKind::ShutDown);
-    let rejected = server.try_submit(Query::new()).expect_err("intake closed");
+    let rejected = server
+        .try_submit(MODEL, Query::new())
+        .expect_err("intake closed");
     assert_eq!(rejected.kind(), SubmitErrorKind::ShutDown);
     server.shutdown(); // idempotent
     let stats = server.stats();
@@ -303,9 +322,13 @@ fn dropping_the_server_drains_like_shutdown() {
     let net = datasets::sprinkler();
     let solver = Arc::new(Solver::new(&net));
     let wet = net.var_id("WetGrass").unwrap();
-    let server = Server::new(Arc::clone(&solver));
+    let server = serve(&solver).build();
     let pending: Vec<_> = (0..8)
-        .map(|i| server.submit(Query::new().observe(wet, i % 2)).unwrap())
+        .map(|i| {
+            server
+                .submit(MODEL, Query::new().observe(wet, i % 2))
+                .unwrap()
+        })
         .collect();
     drop(server); // joins workers after the backlog is drained
     for p in pending {
@@ -320,18 +343,18 @@ fn unbounded_window_delay_means_wait_for_a_full_batch() {
     // worker on `Instant` overflow.
     let net = datasets::sprinkler();
     let solver = Arc::new(Solver::new(&net));
-    let server = Server::builder(Arc::clone(&solver))
+    let server = serve(&solver)
         .workers(1)
         .max_batch(2)
         .max_delay(Duration::MAX)
         .build();
-    let a = server.submit(Query::new()).unwrap();
-    let b = server.submit(Query::new()).unwrap(); // window full → dispatch
+    let a = server.submit(MODEL, Query::new()).unwrap();
+    let b = server.submit(MODEL, Query::new()).unwrap(); // window full → dispatch
     assert!(a.wait().is_ok());
     assert!(b.wait().is_ok());
     // An oversized client timeout saturates the same way.
-    let c = server.submit(Query::new()).unwrap();
-    let d = server.submit(Query::new()).unwrap();
+    let c = server.submit(MODEL, Query::new()).unwrap();
+    let d = server.submit(MODEL, Query::new()).unwrap();
     assert!(matches!(c.wait_timeout(Duration::MAX), Ok(Ok(_))));
     assert!(d.wait().is_ok());
     server.shutdown();
@@ -355,17 +378,17 @@ fn window_dedup_fans_one_computation_out_to_identical_requests() {
     assert_eq!(soft_a.key(), soft_b.key());
     let expected = oracle(&solver, &[blocker.clone(), soft_a.clone()]);
 
-    let server = Server::builder(Arc::clone(&solver))
+    let server = serve(&solver)
         .workers(1)
         .max_batch(9)
         .max_delay(Duration::MAX)
         .build();
     assert!(server.dedup(), "dedup is on by default");
-    let first = server.submit(blocker).unwrap();
+    let first = server.submit(MODEL, blocker).unwrap();
     let softs: Vec<_> = (0..8)
         .map(|i| {
             let q = if i % 2 == 0 { &soft_a } else { &soft_b };
-            server.submit(q.clone()).unwrap()
+            server.submit(MODEL, q.clone()).unwrap()
         })
         .collect();
     let got_first = first.wait();
@@ -386,7 +409,7 @@ fn window_dedup_fans_one_computation_out_to_identical_requests() {
 fn dedup_can_be_disabled() {
     let net = datasets::sprinkler();
     let solver = Arc::new(Solver::new(&net));
-    let server = Server::builder(Arc::clone(&solver))
+    let server = serve(&solver)
         .workers(1)
         .max_batch(4)
         .max_delay(Duration::MAX)
@@ -394,7 +417,7 @@ fn dedup_can_be_disabled() {
         .build();
     assert!(!server.dedup());
     let pending: Vec<_> = (0..4)
-        .map(|_| server.submit(Query::new()).unwrap())
+        .map(|_| server.submit(MODEL, Query::new()).unwrap())
         .collect();
     for p in pending {
         assert!(p.wait().is_ok());
@@ -417,7 +440,7 @@ fn stats_invariant_holds_under_concurrent_submit_cancel_shutdown() {
     let net = datasets::asia();
     let solver = Arc::new(Solver::new(&net));
     let dysp = net.var_id("Dyspnea").unwrap();
-    let server = Server::builder(Arc::clone(&solver))
+    let server = serve(&solver)
         .workers(2)
         .max_batch(4)
         .max_delay(Duration::from_micros(100))
@@ -456,7 +479,7 @@ fn stats_invariant_holds_under_concurrent_submit_cancel_shutdown() {
                 scope.spawn(move || {
                     for i in 0..200usize {
                         let query = Query::new().observe(dysp, (t + i) % 2);
-                        let pending = match server.submit(query) {
+                        let pending = match server.submit(MODEL, query) {
                             Ok(p) => p,
                             Err(_) => break, // only possible post-shutdown
                         };
@@ -522,7 +545,7 @@ fn stats_invariant_holds_under_concurrent_submit_cancel_shutdown() {
 #[test]
 fn server_stats_start_at_zero() {
     let solver = Arc::new(Solver::new(&datasets::sprinkler()));
-    let server = Server::new(solver);
+    let server = serve(&solver).build();
     assert_eq!(server.stats(), fastbn::ServerStats::default());
     assert_eq!(server.workers(), 1);
     assert!(!server.is_shut_down());

@@ -15,14 +15,23 @@ use std::time::Duration;
 
 use fastbn::bayesnet::datasets;
 use fastbn::{
-    CacheConfig, EngineKind, MetricsRegistry, ModelConfig, Query, Registry, RoutedServer, Server,
-    Solver, SINGLE_MODEL_ID,
+    CacheConfig, EngineKind, MetricsRegistry, ModelConfig, Query, Registry, RoutedServer,
+    RoutedServerBuilder, Solver,
 };
+use fastbn_bench::measure::one_model_registry;
+
+/// The id the one-model servers register their solver under.
+const MODEL: &str = "model";
+
+/// A server builder over a one-model registry holding `solver`.
+fn serve(solver: Arc<Solver>) -> RoutedServerBuilder {
+    RoutedServer::builder(one_model_registry(MODEL, solver))
+}
 
 /// Drives `n` submissions (alternating posterior and MPE queries, so
 /// windows carry duplicates for dedup *and* distinct work) through a
-/// single-model server and waits them all out.
-fn drive(server: &Server, n: usize) {
+/// one-model server and waits them all out.
+fn drive(server: &RoutedServer, n: usize) {
     let pending: Vec<_> = (0..n)
         .map(|i| {
             let query = if i % 4 == 1 {
@@ -30,7 +39,7 @@ fn drive(server: &Server, n: usize) {
             } else {
                 Query::new()
             };
-            server.submit(query).unwrap()
+            server.submit(MODEL, query).unwrap()
         })
         .collect();
     for p in pending {
@@ -47,7 +56,7 @@ fn server_stats_and_metrics_are_one_source_of_truth() {
             .threads(2)
             .build(),
     );
-    let server = Server::builder(Arc::clone(&solver))
+    let server = serve(Arc::clone(&solver))
         .workers(2)
         .max_batch(8)
         .max_delay(Duration::from_micros(200))
@@ -78,13 +87,13 @@ fn server_stats_and_metrics_are_one_source_of_truth() {
     let per_model = server.model_stats();
     assert_eq!(per_model.len(), 1);
     let row = &per_model[0];
-    assert_eq!(row.model, SINGLE_MODEL_ID);
+    assert_eq!(row.model, MODEL);
     assert_eq!(
-        snap.counter(&format!("serve.model.{SINGLE_MODEL_ID}.submitted")),
+        snap.counter(&format!("serve.model.{MODEL}.submitted")),
         row.submitted
     );
     assert_eq!(
-        snap.counter(&format!("serve.model.{SINGLE_MODEL_ID}.completed")),
+        snap.counter(&format!("serve.model.{MODEL}.completed")),
         row.completed
     );
 
@@ -121,7 +130,7 @@ fn server_stats_and_metrics_are_one_source_of_truth() {
 fn telemetry_off_keeps_counters_but_records_no_histograms() {
     let net = datasets::asia();
     let solver = Arc::new(Solver::new(&net));
-    let server = Server::builder(solver).telemetry(false).build();
+    let server = serve(solver).telemetry(false).build();
     assert!(!server.metrics().is_timing_enabled());
     drive(&server, 32);
     server.shutdown();
@@ -199,10 +208,10 @@ fn routed_metrics_cover_models_caches_and_pool() {
 fn injected_metrics_registry_aggregates_two_servers() {
     let net = datasets::sprinkler();
     let metrics = Arc::new(MetricsRegistry::new());
-    let a = Server::builder(Arc::new(Solver::new(&net)))
+    let a = serve(Arc::new(Solver::new(&net)))
         .metrics(Arc::clone(&metrics))
         .build();
-    let b = Server::builder(Arc::new(Solver::new(&net)))
+    let b = serve(Arc::new(Solver::new(&net)))
         .metrics(Arc::clone(&metrics))
         .build();
     drive(&a, 8);

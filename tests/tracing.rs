@@ -23,9 +23,10 @@ use fastbn::telemetry::trace::{
     SPAN_WINDOW,
 };
 use fastbn::{
-    EngineKind, Prepared, Query, QueryBatch, QueryResult, ServeError, Server, Solver, TraceConfig,
-    TraceContext, Tracer,
+    EngineKind, Prepared, Query, QueryBatch, QueryResult, RoutedServer, RoutedServerBuilder,
+    ServeError, Solver, TraceConfig, TraceContext, Tracer,
 };
+use fastbn_bench::measure::one_model_registry;
 
 /// A tracer that samples every request and slow-logs every request
 /// (zero threshold), so one pass exercises the whole recording surface.
@@ -78,6 +79,14 @@ fn assert_bitwise(
     }
 }
 
+/// The id the one-model servers register their solver under.
+const MODEL: &str = "model";
+
+/// A server builder over a one-model registry holding `solver`.
+fn serve(solver: &Arc<Solver>) -> RoutedServerBuilder {
+    RoutedServer::builder(one_model_registry(MODEL, Arc::clone(solver)))
+}
+
 /// Serves `queries` in input order through a fresh server over
 /// `solver`, optionally traced, and returns the per-slot results.
 fn serve_all(
@@ -85,7 +94,7 @@ fn serve_all(
     queries: &[Query],
     tracer: Option<Arc<Tracer>>,
 ) -> Vec<Result<QueryResult, ServeError>> {
-    let mut builder = Server::builder(Arc::clone(solver))
+    let mut builder = serve(solver)
         .workers(2)
         .max_batch(4)
         .max_delay(Duration::from_micros(100));
@@ -95,7 +104,7 @@ fn serve_all(
     let server = builder.build();
     let pending: Vec<_> = queries
         .iter()
-        .map(|q| server.submit(q.clone()).expect("server accepting"))
+        .map(|q| server.submit(MODEL, q.clone()).expect("server accepting"))
         .collect();
     let got = pending.into_iter().map(|p| p.wait()).collect();
     server.shutdown();
@@ -254,13 +263,13 @@ fn telemetry_off_disables_sampling_but_slow_log_stays_exact() {
     let net = datasets::asia();
     let solver = Arc::new(Solver::new(&net));
     let tracer = trace_everything();
-    let server = Server::builder(Arc::clone(&solver))
+    let server = serve(&solver)
         .telemetry(false)
         .tracer(Arc::clone(&tracer))
         .build();
     assert!(!server.metrics().is_timing_enabled());
     let pending: Vec<_> = (0..48)
-        .map(|_| server.submit(Query::new()).unwrap())
+        .map(|_| server.submit(MODEL, Query::new()).unwrap())
         .collect();
     for p in pending {
         p.wait().unwrap();
@@ -284,7 +293,7 @@ fn telemetry_off_disables_sampling_but_slow_log_stays_exact() {
     for entry in tracer.slow_entries() {
         assert!(!entry.sampled, "no entry can claim a span tree exists");
         assert!(entry.total_ns > 0);
-        assert_eq!(entry.model, fastbn::SINGLE_MODEL_ID);
+        assert_eq!(entry.model, MODEL);
     }
 }
 
@@ -302,7 +311,7 @@ fn head_sampling_is_one_in_n_and_stress_keeps_the_drain_invariant() {
         slow_threshold: Duration::ZERO,
         ..TraceConfig::default()
     }));
-    let server = Server::builder(Arc::clone(&solver))
+    let server = serve(&solver)
         .workers(2)
         .max_batch(4)
         .max_delay(Duration::from_micros(50))
@@ -318,7 +327,7 @@ fn head_sampling_is_one_in_n_and_stress_keeps_the_drain_invariant() {
                 let dysp = net.var_id("Dyspnea").unwrap();
                 for i in 0..per_thread {
                     let pending = server
-                        .submit(Query::new().observe(dysp, (s + i) % 2))
+                        .submit(MODEL, Query::new().observe(dysp, (s + i) % 2))
                         .unwrap();
                     if i % 5 == 0 {
                         drop(pending); // cancel a slice of the traffic
